@@ -28,10 +28,13 @@ broker's one shared-memory pool, so a hungry tenant is rejected at its quota
 instead of starving the others.
 
 Attachers resolve names through the **catalog channel** at
-``{address}/catalog`` — a generalized describe service answering ``list`` /
+``{address}/catalog`` — a generalized describe channel answering ``list`` /
 ``describe`` / ``subscribe`` with :class:`~repro.core.manifest.SessionManifest`
 bodies.  ``subscribe`` also marks the dataset active (for idle eviction) and
-spins up lazily registered datasets on first use.
+spins up lazily registered datasets on first use.  No thread serves the
+channel: each request is answered on the thread that delivers it
+(:meth:`~repro.messaging.sockets.RepSocket.serve`), and a lazy mount does
+only local work, so it is safe there.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class _Mount:
 class CatalogService:
     """Answer ``{address}/catalog`` requests: the broker's discovery channel.
 
-    A generalization of the per-session describe responder: instead of one
+    A generalization of the per-session describe channel: instead of one
     manifest, it serves the whole mount table.  Operations (the request is a
     dict with an ``op`` key):
 
@@ -142,29 +145,7 @@ class CatalogService:
         self._rep = RepSocket(
             broker.hub, f"{broker.address}/catalog", identity="broker-catalog"
         )
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-broker-catalog"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            payload = (
-                request.body.get("payload") if isinstance(request.body, dict) else None
-            )
-            try:
-                reply = self._handle(payload)
-            except Exception as exc:  # a handler bug must not kill the channel
-                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                self._rep.reply(request, reply)
-            except Exception:
-                pass  # requester vanished; keep serving others
+        self._rep.serve(self._handle)
 
     def _handle(self, payload) -> Dict[str, object]:
         _CATALOG_REQUESTS.inc()
@@ -189,10 +170,6 @@ class CatalogService:
         return {"ok": False, "error": f"unknown catalog op {op!r}"}
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
         self._rep.close()
 
 

@@ -46,9 +46,10 @@ from repro.core.config import ConsumerConfig, ProducerConfig
 from repro.core.consumer import _DONE, _WAIT, TensorConsumer
 from repro.core.manifest import SessionManifest
 from repro.core.producer import TensorProducer
-from repro.core.session import DescribeService, register_session, unregister_session
+from repro.core.session import register_session, unregister_session
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import MessagingError, TimeoutError_
+from repro.messaging.sockets import RepSocket
 from repro.obs import naming
 from repro.tensor.tensor import Tensor
 
@@ -489,7 +490,7 @@ class ShardedLoaderSession:
             self.hub = self._endpoint.hub
             self.pool = self._endpoint.pool
         self.members: List[TensorProducer] = []
-        self._describe: Optional[DescribeService] = None
+        self._describe: Optional[RepSocket] = None
         self._metrics_service = None
         try:
             for rank in range(self.shards):
@@ -522,9 +523,11 @@ class ShardedLoaderSession:
                         shard_loader, hub=self.hub, pool=self.pool, config=member_config
                     )
                 )
-            self._describe = DescribeService(
-                self.hub, self.address, self.manifest().to_dict()
+            manifest = self.manifest().to_dict()
+            self._describe = RepSocket(
+                self.hub, f"{self.address}/group", identity=f"describe-{self.address}"
             )
+            self._describe.serve(lambda _payload: dict(manifest))
             # The observability channel for the whole group on
             # {address}/metrics (see repro.obs.service).
             try:
@@ -760,7 +763,7 @@ class ShardedLoaderSession:
         finally:
             unregister_session(self.address, self)
             if self._describe is not None:
-                self._describe.stop()
+                self._describe.close()
             if self._metrics_service is not None:
                 self._metrics_service.stop()
             try:

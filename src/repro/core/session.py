@@ -34,6 +34,7 @@ from repro.core.config import ConsumerConfig, ProducerConfig
 from repro.core.consumer import TensorConsumer
 from repro.core.manifest import SessionManifest
 from repro.core.producer import TensorProducer
+from repro.messaging.sockets import RepSocket
 from repro.messaging.transport import InProcHub
 from repro.tensor.shared_memory import SharedMemoryPool
 
@@ -62,46 +63,6 @@ def live_sessions() -> Dict[str, object]:
     """A snapshot of the directory (brokers use it for prefix resolution)."""
     with _SESSIONS_LOCK:
         return dict(_SESSIONS)
-
-
-class DescribeService:
-    """Answer ``{address}/group`` describe requests with a session manifest.
-
-    Cross-process consumers cannot reach the in-process session directory, so
-    every serving session (plain and sharded) binds a tiny REQ/REP responder
-    next to its data channels.  ``repro.attach`` asks it how the address is
-    shaped — ``{"shards": 1}`` for a plain session, the member manifest for a
-    sharded one — and builds the matching consumer.
-    """
-
-    def __init__(self, hub, address: str, manifest: Dict[str, object]) -> None:
-        from repro.messaging.sockets import RepSocket
-
-        self._rep = RepSocket(hub, f"{address}/group", identity=f"describe-{address}")
-        self._manifest = dict(manifest)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-session-describe"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            try:
-                self._rep.reply(request, dict(self._manifest))
-            except Exception:
-                pass  # requester vanished; keep serving others
-
-    def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._rep.close()
 
 
 class SharedLoaderSession:
@@ -140,7 +101,7 @@ class SharedLoaderSession:
         self._producer_error: Optional[BaseException] = None
         self._shutdown = False
         self._owner_pid = os.getpid()
-        self._describe: Optional[DescribeService] = None
+        self._describe: Optional[RepSocket] = None
         self._metrics_service = None
         if self.producer.owns_address or embedded:
             # The producer's endpoint bind guarantees the address was free, so
@@ -150,12 +111,15 @@ class SharedLoaderSession:
             # embedded into a broker's transport, whose mount path guarantees
             # uniqueness under the broker's base address instead.
             register_session(self.address, self)
-            # Remote attachers (who cannot see the directory) ask this
-            # responder how the address is shaped; one shard = plain consumer.
+            # Remote attachers (who cannot see the directory) ask
+            # {address}/group how the address is shaped; one shard = plain
+            # consumer.
             try:
-                self._describe = DescribeService(
-                    self.hub, self.address, self.manifest().to_dict()
+                manifest = self.manifest().to_dict()
+                self._describe = RepSocket(
+                    self.hub, f"{self.address}/group", identity=f"describe-{self.address}"
                 )
+                self._describe.serve(lambda _payload: dict(manifest))
             except Exception:
                 self._describe = None  # a hub without bind support; discovery off
             # The observability channel: snapshot/prometheus on
@@ -285,7 +249,7 @@ class SharedLoaderSession:
         finally:
             unregister_session(self.address, self)
             if self._describe is not None:
-                self._describe.stop()
+                self._describe.close()
             if self._metrics_service is not None:
                 self._metrics_service.stop()
             try:

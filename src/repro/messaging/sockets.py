@@ -8,8 +8,9 @@ Three patterns are provided, matching the channels TensorSocket uses:
 * **PUSH/PULL** — the acknowledgement and registration channel.  Consumers
   push ``ACK`` / ``HELLO`` / ``BYE`` messages toward the producer's single
   :class:`PullSocket`.
-* **REQ/REP** — a small synchronous control channel used by utilities (e.g.
-  querying producer status from a monitoring script).
+* **REQ/REP** — the small synchronous control channels (describe, metrics,
+  catalog).  :meth:`RepSocket.serve` answers each request on the thread that
+  delivers it, so a serving endpoint needs no responder thread.
 
 All sockets work over anything with the hub surface
 (``bind/connect/publish/push``): an
@@ -21,6 +22,7 @@ All sockets work over anything with the hub surface
 
 from __future__ import annotations
 
+import functools
 import uuid
 from typing import Iterable, List, Optional
 
@@ -188,6 +190,23 @@ class RepSocket(_HubSocket):
         message = Message(topic="", kind=MessageKind.REPLY, sender=self.identity, body=body)
         self._hub.push(reply_to, message)
 
+    def serve(self, handler) -> None:
+        """Answer every request with ``handler(payload)`` as it is delivered.
+
+        No thread and no polling: the endpoint's sink runs the handler on the
+        thread that delivers the request, after first draining any requests
+        already queued, in order.  For an in-process requester that is the
+        requester's own thread; for a remote requester it is the broker's
+        serve thread for that requester's connection.  A handler must
+        therefore never wait on the network — local work only (reading
+        counters, building a manifest, mounting an in-process session).
+
+        A handler that raises is answered with ``{"ok": False, "error":
+        "<Type>: <msg>"}``; a requester that has gone away is ignored.
+        Closing the socket stops serving.
+        """
+        self._endpoint.set_sink(functools.partial(self._answer, handler))
+
     def serve_pending(self, handler) -> int:
         """Answer every queued request with ``handler(payload)``; returns count."""
         served = 0
@@ -195,9 +214,19 @@ class RepSocket(_HubSocket):
             request = self.try_recv()
             if request is None:
                 return served
-            payload = request.body.get("payload") if isinstance(request.body, dict) else None
-            self.reply(request, handler(payload))
+            self._answer(handler, request)
             served += 1
+
+    def _answer(self, handler, request: Message) -> None:
+        payload = request.body.get("payload") if isinstance(request.body, dict) else None
+        try:
+            body = handler(payload)
+        except Exception as exc:
+            body = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        try:
+            self.reply(request, body)
+        except MessagingError:
+            pass  # the requester vanished (or never named a reply address)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The ``{address}/metrics`` exposition channel.
 
-Every serving session (plain and sharded) and every broker binds a tiny
-REQ/REP responder next to its data channels, exactly like the describe and
-catalog services.  The channel answers::
+Every serving session (plain and sharded) and every broker binds a REP
+socket next to its data channels, exactly like the describe and catalog
+channels.  No thread serves it: :meth:`~repro.messaging.sockets.RepSocket.serve`
+answers each request on the thread that delivers it.  The channel answers::
 
     {"op": "snapshot"}    -> {"ok": True, "metrics": {...}, "stall": {...},
                               "spans": [...], "stats": {...}, "origin": {...}}
@@ -19,7 +20,6 @@ process that can dial the address.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
@@ -50,27 +50,7 @@ class MetricsService:
         self._stats_fn = stats_fn
         self._registry = registry if registry is not None else REGISTRY
         self._ring = ring if ring is not None else obs_trace.RING
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-metrics-service"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            try:
-                payload = (
-                    request.body.get("payload")
-                    if isinstance(request.body, dict)
-                    else None
-                )
-                self._rep.reply(request, self._handle(payload))
-            except Exception:
-                pass  # requester vanished; keep serving others
+        self._rep.serve(self._handle)
 
     def _handle(self, payload) -> Dict[str, object]:
         op = payload.get("op") if isinstance(payload, dict) else None
@@ -97,10 +77,6 @@ class MetricsService:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
         self._rep.close()
 
 

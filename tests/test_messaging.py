@@ -229,3 +229,124 @@ class TestTcpTransport:
                 sock.close()
         finally:
             hub.close()
+
+
+class TestRepServe:
+    """``RepSocket.serve``: requests answered on the delivering thread."""
+
+    def test_serve_answers_remote_requester_over_reactor_client(self):
+        import threading
+
+        from repro.messaging import TcpHub, TcpHubClient, TcpServerHub
+        from repro.messaging.reactor import ConsumerReactor
+
+        tcp_hub = TcpHub()
+        reactor = ConsumerReactor(name="repro-reactor-test-rep-serve")
+        rep = RepSocket(TcpServerHub(tcp_hub), "status")
+        rep.serve(
+            lambda payload: {"echo": payload, "thread": threading.current_thread().name}
+        )
+        client = TcpHubClient(tcp_hub.host, tcp_hub.port, reactor=reactor)
+        try:
+            req = ReqSocket(client, "status")
+            try:
+                first = req.request({"value": 41}, timeout=5)
+                second = req.request({"value": 42}, timeout=5)
+            finally:
+                req.close()
+        finally:
+            client.close()
+            rep.close()
+            reactor.shutdown()
+            tcp_hub.close()
+        assert first["echo"] == {"value": 41}
+        assert second["echo"] == {"value": 42}
+        # A remote request is answered on the broker's serve thread for the
+        # requester's connection — no responder thread of its own.
+        assert first["thread"] == "repro-tcp-serve"
+
+    def test_serve_answers_backlog_in_order_then_live_requests(self):
+        import threading
+
+        hub = InProcHub()
+        rep = RepSocket(hub, "status")
+        replies = PullSocket(hub, "status/reply/a")
+        for value in (1, 2):
+            hub.push("status", Message(topic="", kind=MessageKind.REQUEST, sender="a",
+                                       body={"reply_to": "status/reply/a", "payload": value}))
+        before = set(threading.enumerate())
+        rep.serve(lambda payload: payload * 10)
+        assert set(threading.enumerate()) <= before
+        # The queued requests were answered during the handover, in order.
+        assert [message.body for message in replies.drain()] == [10, 20]
+        req = ReqSocket(hub, "status")
+        assert req.request(3, timeout=1) == 30
+        assert rep.serve_pending(lambda payload: payload) == 0
+        for sock in (req, replies, rep):
+            sock.close()
+
+    def test_raising_handler_replies_with_error_and_keeps_serving(self):
+        import time
+
+        def handler(payload):
+            if payload == "boom":
+                raise ValueError("bad request")
+            return payload * 10
+
+        hub = InProcHub()
+        rep = RepSocket(hub, "status")
+        rep.serve(handler)
+        req = ReqSocket(hub, "status")
+        try:
+            started = time.perf_counter()
+            reply = req.request("boom", timeout=5)
+            elapsed = time.perf_counter() - started
+            assert reply == {"ok": False, "error": "ValueError: bad request"}
+            assert elapsed < 1.0
+            assert req.request(2, timeout=5) == 20
+        finally:
+            req.close()
+            rep.close()
+
+    def test_serve_ignores_requester_that_went_away(self):
+        hub = InProcHub()
+        rep = RepSocket(hub, "status")
+        rep.serve(lambda payload: payload)
+        # No endpoint is bound at the reply address: the reply is dropped and
+        # the channel keeps serving.
+        hub.push("status", Message(topic="", kind=MessageKind.REQUEST, sender="gone",
+                                   body={"reply_to": "status/reply/gone", "payload": 1}))
+        req = ReqSocket(hub, "status")
+        assert req.request(7, timeout=1) == 7
+        req.close()
+        rep.close()
+
+    def test_closed_rep_socket_stops_serving(self):
+        hub = InProcHub()
+        rep = RepSocket(hub, "status")
+        rep.serve(lambda payload: payload)
+        rep.close()
+        req = ReqSocket(hub, "status")
+        with pytest.raises(MessagingError):
+            req.request(1, timeout=1)
+        req.close()
+
+    def test_metrics_handler_error_is_answered_not_timed_out(self):
+        import time
+
+        from repro.obs.service import MetricsService, fetch_metrics_from_hub
+
+        class BrokenRegistry:
+            def snapshot(self):
+                raise RuntimeError("registry unavailable")
+
+        hub = InProcHub()
+        service = MetricsService(hub, "svc", registry=BrokenRegistry())
+        try:
+            started = time.perf_counter()
+            reply = fetch_metrics_from_hub(hub, "svc", timeout=5.0)
+            elapsed = time.perf_counter() - started
+        finally:
+            service.stop()
+        assert reply == {"ok": False, "error": "RuntimeError: registry unavailable"}
+        assert elapsed < 1.0
